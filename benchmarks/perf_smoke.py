@@ -11,7 +11,11 @@ the ADPCM workload and fails if
   (measured with the ASBR unit attached — the configuration the
   specialization exists for), or
 * the batch functional engine is below **5x** the serial interpreter's
-  aggregate instructions/s on a 64-lane campaign.
+  aggregate instructions/s on a 64-lane campaign, or
+* the default design-space exploration (``Evaluator`` over the
+  ``default`` space, the ``repro dse run`` workflow) is below **1.5x**
+  faster end to end on superblocks than on interp, or the two engines'
+  objective vectors differ.
 
 Run as a plain script::
 
@@ -38,6 +42,7 @@ WORKLOAD = "adpcm_enc"
 EQUIV_SAMPLES = 96
 RACE_SAMPLES = 8000
 REPS = 3
+DSE_SAMPLES = 60
 
 
 def check_equivalence() -> None:
@@ -232,10 +237,51 @@ def race_batch() -> int:
     return 0
 
 
+def race_dse() -> int:
+    """The end-to-end gate: the default DSE on superblocks vs interp.
+
+    Both engines run the same evaluator path (shared selection pass,
+    untraced runs, coverage from counters) with no result cache or
+    journal, so the ratio is what ``repro dse run`` gains from the
+    engine alone; the objective vectors must be identical.
+    """
+    from repro.dse import Evaluator, GridSearch, default_space
+
+    space = default_space()
+
+    def best_time(engine):
+        best, objectives = float("inf"), None
+        for _ in range(REPS):
+            ev = Evaluator(WORKLOAD, DSE_SAMPLES, 42, workers=0,
+                           engine=engine)
+            t0 = time.perf_counter()
+            results = GridSearch().run(ev, space)
+            best = min(best, time.perf_counter() - t0)
+            objectives = [r.objectives for r in results]
+        return best, objectives
+
+    interp, interp_obj = best_time("interp")
+    superblocks, super_obj = best_time("superblocks")
+    ratio = interp / superblocks
+    print("race (dse, %d points, n=%d): interp %.2fs, superblocks %.2fs "
+          "(%.2fx)" % (len(space.points()), DSE_SAMPLES, interp,
+                       superblocks, ratio))
+    if super_obj != interp_obj:
+        print("FAIL: DSE objective vectors differ between superblocks "
+              "and interp", file=sys.stderr)
+        return 1
+    if ratio < 1.5:
+        print("FAIL: default DSE on superblocks is below 1.5x interp "
+              "(%.2fx)" % ratio, file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     check_equivalence()
     check_batch_equivalence()
-    return race() or race_superblocks() or race_batch()
+    return (race() or race_superblocks() or race_batch()
+            or race_dse())
 
 
 if __name__ == "__main__":

@@ -497,14 +497,14 @@ def cmd_faults_report(args) -> int:
 
 
 def _add_engine_option(p) -> None:
-    p.add_argument("--engine", default="interp",
-                   choices=("interp", "blocks", "superblocks"),
-                   help="execution engine: interpreted fast path, the "
-                        "block-compiled translation cache, or the "
-                        "fold-specialized superblock loop "
-                        "(all bit-identical; compiled engines fall "
-                        "back to interp when tracing/fault hooks are "
-                        "attached)")
+    from repro.sim.core import DEFAULT_ENGINE, ENGINES
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
+                   help="execution engine: interpreted reference loop, "
+                        "the block-compiled translation cache, or the "
+                        "fold-specialized superblock loop (default %s; "
+                        "all bit-identical; compiled engines fall back "
+                        "to interp when tracing/fault hooks are "
+                        "attached)" % DEFAULT_ENGINE)
 
 
 def _add_sim_options(p) -> None:

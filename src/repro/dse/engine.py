@@ -8,8 +8,9 @@ simulator.  ``evaluate(points)`` resolves each point in three layers:
 2. **runner cache** — misses become :class:`~repro.runner.RunSpec`\\ s
    and go through :func:`repro.runner.run_sweep`, which consults the
    content-addressed on-disk cache;
-3. **simulation** — remaining distinct specs run on the worker pool,
-   with telemetry metrics collected for the fold-coverage objective.
+3. **simulation** — remaining distinct specs run untraced on the worker
+   pool (superblocks unless ``engine`` says otherwise): every
+   objective, fold coverage included, comes from the stats counters.
 
 Every fresh result is reduced to an
 :class:`~repro.dse.objectives.ObjectiveVector` and journaled before
@@ -29,6 +30,7 @@ from repro.dse.journal import Journal, eval_key
 from repro.dse.objectives import ObjectiveVector, extract_objectives
 from repro.dse.space import DesignPoint
 from repro.runner import FailedResult, ResultCache, run_sweep
+from repro.sim.core import DEFAULT_ENGINE
 from repro.sim.pipeline import PipelineStats
 
 #: the paper's reference configuration (fig. 6/11 baseline).
@@ -75,7 +77,7 @@ class Evaluator:
                  task_timeout: Optional[float] = None,
                  retries: int = 0,
                  tolerant: bool = False,
-                 engine: str = "interp") -> None:
+                 engine: str = DEFAULT_ENGINE) -> None:
         self.benchmark = benchmark
         self.n_samples = n_samples
         self.seed = seed
@@ -114,13 +116,11 @@ class Evaluator:
         if n not in self._baselines:
             spec = BASELINE_POINT.to_spec(self.benchmark, n, self.seed,
                                           engine=self.engine)
-            (stats, metrics), = run_sweep([spec], workers=1,
-                                          cache=self.cache,
-                                          collect_metrics=True)
+            stats, = run_sweep([spec], workers=1, cache=self.cache)
             self._baselines[n] = stats
             if self.journal is not None and not self._journal_get(
                     BASELINE_POINT, n):
-                vec = extract_objectives(BASELINE_POINT, stats, metrics,
+                vec = extract_objectives(BASELINE_POINT, stats,
                                          baseline_stats=stats)
                 self.journal.record_eval(BASELINE_POINT, self.benchmark,
                                          n, self.seed, vec)
@@ -190,7 +190,7 @@ class Evaluator:
                     BASELINE_POINT, n) or EvalResult(
                         BASELINE_POINT, self.benchmark, n, self.seed,
                         extract_objectives(BASELINE_POINT, baseline,
-                                           None, baseline),
+                                           baseline),
                         from_journal=False)
                 self.simulated += 1
         if pending:
@@ -198,7 +198,7 @@ class Evaluator:
                                engine=self.engine)
                      for p in pending]
             results = run_sweep(specs, workers=self.workers,
-                                cache=self.cache, collect_metrics=True,
+                                cache=self.cache,
                                 task_timeout=self.task_timeout,
                                 retries=self.retries,
                                 on_error="return" if self.tolerant
@@ -214,8 +214,7 @@ class Evaluator:
                             p, self.benchmark, n, self.seed,
                             result.error, kind=result.kind)
                     continue
-                stats, metrics = result
-                vec = extract_objectives(p, stats, metrics, baseline)
+                vec = extract_objectives(p, result, baseline)
                 if self.journal is not None:
                     self.journal.record_eval(p, self.benchmark, n,
                                              self.seed, vec)

@@ -7,10 +7,10 @@ Every evaluated design point is reduced to an :class:`ObjectiveVector`:
 * ``speedup`` — baseline cycles / point cycles, against the paper's
   reference core (``bimodal-2048``, no ASBR) on the same workload and
   input;
-* ``fold_coverage`` — committed folds / (committed folds + unfolded
-  branch executions), from the run's telemetry tables
-  (:class:`~repro.telemetry.MetricsRegistry`) — the fraction of dynamic
-  conditional branches ASBR removed from the pipeline;
+* ``fold_coverage`` — committed folds / (committed folds + committed
+  unfolded conditional branches), from the run's stats counters — the
+  fraction of dynamic conditional branches ASBR removed from the
+  pipeline (:func:`fold_coverage`);
 * ``table_bits`` — hardware cost of the prediction structures this
   point instantiates: predictor SRAM + BIT + BDT (paper Section 7's
   area argument);
@@ -25,7 +25,7 @@ the Pareto code (:mod:`repro.dse.pareto`) never hard-codes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.asbr.bit import BITS_PER_ENTRY
 from repro.asbr.bdt import BranchDirectionTable
@@ -144,16 +144,19 @@ def ooo_cost_bits(point: DesignPoint) -> int:
     return prf + map_table + free_list + rob + iq
 
 
-def fold_coverage(metrics: Optional[dict]) -> float:
-    """Dynamic-branch coverage from serialised telemetry tables."""
-    if not metrics:
-        return 0.0
-    from repro.telemetry import MetricsRegistry
-    registry = MetricsRegistry.from_dict(metrics)
-    folds = sum(b.fold_hits for b in registry.branches.values())
-    execs = sum(b.executions for b in registry.branches.values())
-    total = folds + execs
-    return folds / total if total else 0.0
+def fold_coverage(stats: PipelineStats) -> float:
+    """Fraction of committed conditional branches that were folded.
+
+    ``folds_committed / (folds_committed + branches)``, both counted at
+    commit, so the definition is the same on every engine and backend.
+    On the in-order pipeline it equals the telemetry ratio (fold hits /
+    fold hits + branch executions) exactly, because nothing younger than
+    a resolving branch reaches EX.  The out-of-order backend resolves
+    wrong-path branches too, which telemetry counts as executions and
+    these counters do not.
+    """
+    total = stats.folds_committed + stats.branches
+    return stats.folds_committed / total if total else 0.0
 
 
 def point_energy(point: DesignPoint, stats: PipelineStats) -> float:
@@ -175,7 +178,6 @@ def point_energy(point: DesignPoint, stats: PipelineStats) -> float:
 
 
 def extract_objectives(point: DesignPoint, stats: PipelineStats,
-                       metrics: Optional[dict],
                        baseline_stats: PipelineStats) -> ObjectiveVector:
     """Reduce one evaluated run to its objective vector."""
     speedup = baseline_stats.cycles / stats.cycles if stats.cycles \
@@ -184,7 +186,7 @@ def extract_objectives(point: DesignPoint, stats: PipelineStats,
         cycles=stats.cycles,
         cpi=stats.cpi,
         speedup=speedup,
-        fold_coverage=fold_coverage(metrics),
+        fold_coverage=fold_coverage(stats),
         table_bits=table_cost_bits(point),
         energy=point_energy(point, stats),
     )

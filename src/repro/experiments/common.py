@@ -29,6 +29,7 @@ from repro.predictors.evaluate import PredictorAccuracy
 from repro.profiling import BranchProfiler, SelectionResult, select_branches
 from repro.profiling.profiler import BranchProfile
 from repro.runner import ResultCache, RunSpec, key_for_spec, run_sweep
+from repro.sim.core import DEFAULT_ENGINE
 from repro.sim.functional import BranchRecord, collect_branch_trace
 from repro.sim.pipeline import PipelineStats
 from repro.workloads import get_workload, speech_like
@@ -55,7 +56,7 @@ def _default_cache_dir() -> Optional[str]:
 
 
 def _default_engine() -> str:
-    return os.environ.get("REPRO_ENGINE", "interp")
+    return os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE)
 
 
 @dataclass
@@ -68,8 +69,8 @@ class ExperimentSetup:
     bit_capacity: int = 16
     workers: int = field(default_factory=_default_workers)
     cache_dir: Optional[str] = field(default_factory=_default_cache_dir)
-    #: execution engine ("interp" | "blocks", or REPRO_ENGINE); results
-    #: are bit-identical, so it never enters memo or cache keys
+    #: execution engine (one of ``repro.sim.ENGINES``, or REPRO_ENGINE);
+    #: results are bit-identical, so it never enters memo or cache keys
     engine: str = field(default_factory=_default_engine)
     _pcm: Optional[list] = field(default=None, repr=False)
     _profiles: Dict[str, BranchProfile] = field(default_factory=dict,

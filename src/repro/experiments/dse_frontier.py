@@ -63,7 +63,7 @@ def run(setup: Optional[ExperimentSetup] = None
             evaluator = Evaluator(bench, setup.n_samples, setup.seed,
                                   workers=setup.workers,
                                   cache=setup.result_cache(),
-                                  journal=journal)
+                                  journal=journal, engine=setup.engine)
             results[bench] = GridSearch().run(evaluator, space)
     return results
 

@@ -103,7 +103,7 @@ def run(setup: Optional[ExperimentSetup] = None,
         evaluator = Evaluator(BENCHMARK, setup.n_samples, setup.seed,
                               workers=setup.workers,
                               cache=setup.result_cache(),
-                              journal=journal)
+                              journal=journal, engine=setup.engine)
         return GridSearch().run(evaluator, space)
 
 

@@ -10,6 +10,9 @@ configurations.  This package turns those requests into:
 * :func:`~repro.runner.pool.execute_spec` — the one function that turns
   a spec into verified :class:`~repro.sim.pipeline.PipelineStats`
   (profiling, branch selection, simulation and the golden-output check);
+* :func:`~repro.runner.pool.selection_inputs` — the branch profile
+  and selection-baseline accuracy of one (program, input), computed
+  once per process and shared by every ASBR spec on that input;
 * :func:`~repro.runner.pool.map_specs` — fan a spec list over a
   ``multiprocessing`` pool (``workers <= 1`` runs inline, bit-for-bit
   identically);
@@ -57,6 +60,7 @@ from repro.runner.pool import (
     execute_spec,
     execute_spec_metrics,
     map_specs,
+    selection_inputs,
 )
 from repro.runner.sweep import run_sweep
 
@@ -80,6 +84,7 @@ __all__ = [
     "key_for_spec",
     "map_specs",
     "run_sweep",
+    "selection_inputs",
     "shard_of",
     "shard_width",
     "sweep_metrics",

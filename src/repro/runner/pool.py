@@ -18,14 +18,27 @@ is what makes the workers=1-vs-N determinism test
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.sim.core import DEFAULT_ENGINE
 from repro.sim.pipeline import PipelineStats
 
 #: selection baseline used by profile-driven branch selection; matches
 #: ExperimentSetup.selection (the paper's reference predictor).
 SELECTION_BASELINE = "bimodal-2048"
+
+#: entries kept by the per-process :func:`selection_inputs` memo; one
+#: sweep touches one (program, input) pair per rung, so a handful is
+#: plenty and the memory stays bounded in long-lived workers
+SELECTION_MEMO_SIZE = 8
+
+_selection_memo: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
+
+#: id(program) -> (program, version, digest); hashing a workload's data
+#: segment costs milliseconds, more than a short run's cycle simulation
+_program_digests: dict = {}
 
 
 @dataclass(frozen=True)
@@ -51,7 +64,7 @@ class RunSpec:
     #: execution engine ("interp" | "blocks" | "superblocks"); never
     #: part of the result cache key — all engines are bit-identical by
     #: construction
-    engine: str = "interp"
+    engine: str = DEFAULT_ENGINE
     #: decoupled front end (:mod:`repro.frontend`); off by default so
     #: legacy specs keep their exact seed timing.  The five knobs below
     #: only matter when ``frontend`` is set but, like the ASBR selection
@@ -74,32 +87,76 @@ class RunSpec:
     phys_regs: int = 64
 
 
+def selection_inputs(wl, pcm):
+    """The ``(BranchProfile, PredictorAccuracy)`` pair branch selection
+    reads for workload ``wl`` on input ``pcm``.
+
+    Two functional passes produce it: the branch profile and a
+    ``bimodal-2048`` replay of the branch trace (the selection
+    baseline).  Both depend only on (program, input), so the pair is
+    memoised in a small per-process LRU keyed by the program and input
+    digests the result cache uses (:func:`repro.runner.cache.
+    key_for_spec`): every ASBR spec, selection knob and protection
+    model on one input shares one pass.  Callers must treat the pair as
+    read-only — :func:`repro.profiling.select_branches` only reads it.
+    """
+    from repro.predictors import evaluate_on_trace, make_predictor
+    from repro.profiling import BranchProfiler
+    from repro.runner.cache import input_digest
+    from repro.sim.functional import collect_branch_trace
+
+    key = (_program_digest(wl.program), input_digest(pcm))
+    hit = _selection_memo.get(key)
+    if hit is not None:
+        _selection_memo.move_to_end(key)
+        return hit
+    stream = wl.input_stream(pcm)
+    profile = BranchProfiler().profile(wl.program, wl.build_memory(stream))
+    trace_b = collect_branch_trace(wl.program, wl.build_memory(stream))
+    baseline = evaluate_on_trace(make_predictor(SELECTION_BASELINE),
+                                 trace_b)
+    _selection_memo[key] = hit = (profile, baseline)
+    while len(_selection_memo) > SELECTION_MEMO_SIZE:
+        _selection_memo.popitem(last=False)
+    return hit
+
+
+def _program_digest(program) -> str:
+    """:func:`repro.runner.cache.program_digest`, memoised per program
+    object and mutation version (the entry pins the program, so its id
+    cannot be reused while cached)."""
+    from repro.runner.cache import program_digest
+
+    entry = _program_digests.get(id(program))
+    if entry is None or entry[0] is not program \
+            or entry[1] != program.version:
+        if len(_program_digests) >= SELECTION_MEMO_SIZE:
+            _program_digests.clear()
+        entry = (program, program.version, program_digest(program))
+        _program_digests[id(program)] = entry
+    return entry[2]
+
+
 def _execute(spec: RunSpec, trace=None) -> PipelineStats:
     """Shared body of :func:`execute_spec` / :func:`execute_spec_metrics`.
 
-    Mirrors ``ExperimentSetup.run``: for ASBR configurations the
-    benchmark is first profiled, a ``bimodal-2048`` trace accuracy is
-    collected as the selection baseline, and the BIT branch set is
-    chosen by :func:`repro.profiling.select_branches`.  The run's
-    outputs are checked against the workload's golden model; a mismatch
-    raises ``AssertionError`` (and is therefore never cached).
+    Mirrors ``ExperimentSetup.run``: for ASBR configurations the BIT
+    branch set is chosen by :func:`repro.profiling.select_branches` from
+    the benchmark's profile and ``bimodal-2048`` trace accuracy
+    (:func:`selection_inputs`).  The run's outputs are checked against
+    the workload's golden model; a mismatch raises ``AssertionError``
+    (and is therefore never cached).
     """
     from repro.asbr import ASBRUnit
-    from repro.predictors import evaluate_on_trace, make_predictor
-    from repro.profiling import BranchProfiler, select_branches
-    from repro.sim.functional import collect_branch_trace
+    from repro.predictors import make_predictor
+    from repro.profiling import select_branches
     from repro.workloads import get_workload, speech_like
 
     wl = get_workload(spec.benchmark)
     pcm = speech_like(spec.n_samples, spec.seed)
     asbr = None
     if spec.with_asbr:
-        stream = wl.input_stream(pcm)
-        memory = wl.build_memory(stream)
-        profile = BranchProfiler().profile(wl.program, memory)
-        trace_b = collect_branch_trace(wl.program, wl.build_memory(stream))
-        baseline = evaluate_on_trace(make_predictor(SELECTION_BASELINE),
-                                     trace_b)
+        profile, baseline = selection_inputs(wl, pcm)
         sel = select_branches(profile, baseline,
                               bit_capacity=spec.bit_capacity,
                               bdt_update=spec.bdt_update,
@@ -131,7 +188,8 @@ def _execute(spec: RunSpec, trace=None) -> PipelineStats:
                                  predictor=make_predictor(
                                      spec.predictor_spec),
                                  asbr=asbr, trace=trace,
-                                 engine=getattr(spec, "engine", "interp"),
+                                 engine=getattr(spec, "engine",
+                                                DEFAULT_ENGINE),
                                  frontend=frontend)
     if result.outputs != wl.golden_output(pcm):
         raise AssertionError(

@@ -22,10 +22,10 @@ import dataclasses
 from typing import Dict, List
 
 from repro.runner import RunSpec, key_for_spec, shard_of
+from repro.sim.core import DEFAULT_ENGINE, ENGINES
 from repro.workloads import WORKLOAD_NAMES
 
 _REQUIRED = ("benchmark", "n_samples", "seed", "predictor_spec")
-_ENGINES = ("interp", "blocks", "superblocks")
 _BDT_UPDATES = ("commit", "mem", "execute")
 _BACKENDS = ("inorder", "ooo")
 
@@ -87,8 +87,8 @@ def spec_from_wire(obj) -> RunSpec:
                            ", ".join(sorted(WORKLOAD_NAMES))))
     if kwargs["n_samples"] <= 0:
         raise WireError("n_samples must be positive")
-    if kwargs.get("engine", "interp") not in _ENGINES:
-        raise WireError("engine must be one of: %s" % ", ".join(_ENGINES))
+    if kwargs.get("engine", DEFAULT_ENGINE) not in ENGINES:
+        raise WireError("engine must be one of: %s" % ", ".join(ENGINES))
     if kwargs.get("bdt_update", "execute") not in _BDT_UPDATES:
         raise WireError("bdt_update must be one of: %s"
                         % ", ".join(_BDT_UPDATES))

@@ -67,6 +67,7 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
 from repro.runner import ResultCache, RunSpec, run_sweep
+from repro.sim.core import DEFAULT_ENGINE
 from repro.serve.jobs import JobStore, _result_record
 from repro.serve.protocol import (
     WireError,
@@ -631,7 +632,7 @@ class Server:
             "n_samples": obj.get("n_samples", 600),
             "seed": obj.get("seed", 20010618),
             "predictor_spec": "bimodal-2048",
-            "engine": obj.get("engine", "interp"),
+            "engine": obj.get("engine", DEFAULT_ENGINE),
         })
         points = space.points()
         n_points = obj.get("n_points")

@@ -22,10 +22,15 @@
   out-of-order backend (rename, issue queue, active list, checkpoint
   recovery) sharing the in-order machine's fetch-side mechanisms
   (ASBR folding, decoupled front end) and architectural semantics.
+
+``DEFAULT_ENGINE`` (``"superblocks"``) is the engine every workflow runs
+on unless told otherwise; the simulator constructors themselves default
+to ``"interp"``, the reference and observer path.
 """
 
 from repro.sim.batch import BatchResult, LaneResult, run_batch
 from repro.sim.blocks import BlockCache, CompiledBlocks, compile_blocks
+from repro.sim.core import DEFAULT_ENGINE, ENGINES
 from repro.sim.functional import (
     FunctionalSimulator,
     SimulationError,
@@ -36,6 +41,8 @@ from repro.sim.ooo import OoOConfig, OoOSimulator, OoOStats
 from repro.sim.pipeline import PipelineConfig, PipelineSimulator, PipelineStats
 
 __all__ = [
+    "DEFAULT_ENGINE",
+    "ENGINES",
     "FunctionalSimulator",
     "SimulationError",
     "BranchRecord",

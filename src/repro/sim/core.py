@@ -43,6 +43,17 @@ from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
 from repro.predictors.simple import NotTakenPredictor
 
+#: execution engines of the timing simulators, all bit-identical:
+#: the decoded-dispatch reference loop, the block-compiled loop and the
+#: fold-specialized superblock loop
+ENGINES = ("interp", "blocks", "superblocks")
+
+#: engine of every workflow entry point (``RunSpec``, DSE, CLI, serve,
+#: experiments).  The simulator constructors keep ``"interp"``: it is the
+#: reference and observer path, and the compiled engines fall back to it
+#: by themselves whenever telemetry, fault hooks or a frontend attach.
+DEFAULT_ENGINE = "superblocks"
+
 _LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
 _STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
 

@@ -73,6 +73,7 @@ from repro.sim.functional import SimulationError
 from repro.sim.core import (  # noqa: F401  (re-exports)
     _ALU_CODE, _COND_CODE, _DEC_MEMO, _DEC_MEMO_CAP, _LOAD_CODE,
     _LOAD_SIZE, _STORE_SIZE, CoreStatsMixin, _Decoded, PipelineStats,
+    ENGINES,
     EXK_ALU_RRI, EXK_ALU_RRR, EXK_BRANCH_CMP, EXK_BRANCH_Z, EXK_CONST,
     EXK_JAL, EXK_JALR, EXK_JR, EXK_LOAD, EXK_NONE, EXK_SHIFT_I,
     EXK_STORE,
@@ -174,7 +175,7 @@ class PipelineSimulator:
         (bit-identical stats, golden-locked); like telemetry, an
         attached frontend makes the blocks engine fall back to the
         interpreted loop."""
-        if engine not in ("interp", "blocks", "superblocks"):
+        if engine not in ENGINES:
             raise ValueError(
                 "unknown engine %r (expected 'interp', 'blocks' or "
                 "'superblocks')" % (engine,))

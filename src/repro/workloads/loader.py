@@ -72,6 +72,9 @@ class Workload:
         self.count_fn = count_fn if count_fn is not None \
             else (lambda pcm: None)
         self._program: Optional[Program] = None
+        #: (program, its static data segment as a memory image): every
+        #: run starts from a copy instead of re-writing the tables
+        self._data_image: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @property
@@ -95,8 +98,11 @@ class Workload:
             raise ValueError("%d elements exceed buffer capacity %d"
                              % (len(stream), MAX_SAMPLES))
         prog = self.program
-        mem = MainMemory()
-        mem.load_words(prog.data.items())     # static tables first
+        if self._data_image is None or self._data_image[0] is not prog:
+            image = MainMemory()
+            image.load_words(prog.data.items())
+            self._data_image = (prog, image)
+        mem = self._data_image[1].copy()      # static tables first
         n = count if count is not None else len(stream)
         mem.write_word(prog.address_of("n_samples"), n)
         base = prog.address_of(self.input_label)

@@ -95,6 +95,44 @@ class TestEvaluator:
             assert j.has(r.key)
 
 
+class TestFastPath:
+    def test_default_space_one_selection_pass_no_tracing(self,
+                                                         monkeypatch):
+        """The whole default space on one input costs one profiling
+        pass, one branch-trace pass and zero traced runs: selection
+        inputs are shared per (program, input) and fold coverage comes
+        from the stats counters."""
+        import repro.runner.pool as pool
+        import repro.sim.functional as functional
+        from repro.dse import default_space
+        from repro.profiling import BranchProfiler
+
+        calls = {"profile": 0, "trace": 0, "metrics": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pool, "_selection_memo",
+                            type(pool._selection_memo)())
+        monkeypatch.setattr(BranchProfiler, "profile",
+                            counted("profile", BranchProfiler.profile))
+        monkeypatch.setattr(functional, "collect_branch_trace",
+                            counted("trace",
+                                    functional.collect_branch_trace))
+        monkeypatch.setattr(pool, "execute_spec_metrics",
+                            counted("metrics", pool.execute_spec_metrics))
+        space = default_space()
+        ev = Evaluator(BENCH, 24, SEED, workers=0)
+        results = GridSearch().run(ev, space)
+        assert len(results) == len(space.points())
+        assert sum(p.with_asbr for p in space.points()) > 1
+        assert calls == {"profile": 1, "trace": 1, "metrics": 0}
+        assert any(r.objectives.fold_coverage > 0 for r in results)
+
+
 class TestResume:
     def test_full_resume_zero_simulations(self, first_run):
         tmp, path, results, _ev = first_run

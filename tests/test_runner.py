@@ -218,6 +218,82 @@ def test_aggregate_metrics_merges_per_benchmark():
 
 
 # ----------------------------------------------------------------------
+# the shared selection pass (profile + baseline accuracy per input)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Empty selection memo + a counter of real profiling passes."""
+    from repro.profiling import BranchProfiler
+    from repro.runner import pool
+
+    monkeypatch.setattr(pool, "_selection_memo", type(
+        pool._selection_memo)())
+    calls = []
+    real = BranchProfiler.profile
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BranchProfiler, "profile", counting)
+    return calls
+
+
+def test_selection_memo_is_bounded_lru(profile_calls):
+    from repro.runner import pool, selection_inputs
+    from repro.workloads import get_workload, speech_like
+
+    wl = get_workload("adpcm_enc")
+    cap = pool.SELECTION_MEMO_SIZE
+    first = selection_inputs(wl, speech_like(16, 0))
+    for seed in range(1, cap + 3):
+        selection_inputs(wl, speech_like(16, seed))
+        assert len(pool._selection_memo) <= cap
+    assert len(pool._selection_memo) == cap
+    assert len(profile_calls) == cap + 3
+    # the oldest entry was evicted: asking again recomputes it
+    again = selection_inputs(wl, speech_like(16, 0))
+    assert len(profile_calls) == cap + 4
+    assert again is not first
+    # the most recent entries are still served
+    selection_inputs(wl, speech_like(16, cap + 2))
+    assert len(profile_calls) == cap + 4
+
+
+def test_selection_memo_keyed_by_content_not_name(profile_calls):
+    import copy
+
+    from repro.runner import selection_inputs
+    from repro.runner.cache import program_digest
+    from repro.sched import schedule_program
+    from repro.workloads import get_workload, speech_like
+
+    wl = get_workload("adpcm_enc")
+    pair = selection_inputs(wl, speech_like(N, SEED))
+    # another name, an equal copy of the program, an equal input list:
+    # same digests, so the same shared pair
+    renamed = wl.with_program(copy.deepcopy(wl.program), suffix="-copy")
+    assert selection_inputs(renamed, list(speech_like(N, SEED))) is pair
+    assert len(profile_calls) == 1
+    # the same name with a different program or input misses
+    sched = schedule_program(copy.deepcopy(wl.program))
+    assert program_digest(sched) != program_digest(wl.program)
+    same_name = wl.with_program(sched, suffix="")
+    assert same_name.name == wl.name
+    assert selection_inputs(same_name, speech_like(N, SEED)) is not pair
+    assert selection_inputs(wl, speech_like(N, SEED + 1)) is not pair
+    assert len(profile_calls) == 3
+
+
+def test_selection_pass_shared_across_asbr_specs(profile_calls):
+    specs = [spec_of("bimodal-512-512", asbr=True, bdt_update=u,
+                     bit_capacity=b)
+             for u in ("execute", "mem") for b in (8, 16)]
+    map_specs(specs, workers=0)
+    assert len(profile_calls) == 1
+
+
+# ----------------------------------------------------------------------
 # ExperimentSetup integration
 # ----------------------------------------------------------------------
 def test_setup_uses_disk_cache(tmp_path):
